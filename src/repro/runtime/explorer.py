@@ -142,30 +142,35 @@ Bounds
 ``max_schedules`` bounds the number of terminal schedules visited,
 turning the explorer into a systematic falsifier that finds
 minimal-depth counterexamples before random testing would;
-``max_depth`` bounds the decision depth.  A search cut short by either
-bound — or aborted by ``stop_at_first_violation`` — reports
-``exhausted=False`` (and ``aborted=True`` for the stop case); subtrees
-pruned at ``max_depth`` are *not* property-checked, since their runs are
+``max_depth`` bounds the decision depth, and nothing else does: the
+incremental engines walk the tree with one loop over an explicit stack
+of frames, not by recursion, so a schedule of thousands of decisions is
+explored like any other.  A search cut short by either bound — or
+aborted by ``stop_at_first_violation`` — reports ``exhausted=False``
+(and ``aborted=True`` for the stop case); subtrees pruned at
+``max_depth`` are *not* property-checked, since their runs are
 truncated mid-flight.
 
 Checkpoint and resume
 ---------------------
 
-``checkpoint_to=path`` makes the incremental engines durable: every
-``checkpoint_every`` node expansions (and whenever a cooperative
-``cancel`` token fires) the search serializes its complete restartable
-state — the DFS frontier as a stack of per-level frames (taken branch,
-sleep set, explored-sibling footprints, and under dedup the level's
-partial summary and cache key), the transposition cache, and the
-partial counters — into a versioned, integrity-sealed checkpoint file
-written atomically (:mod:`repro.runtime.checkpoint`).
-``resume_from=path`` restores it: the resume descent replays the
-recorded branch at each checkpointed level *without re-counting it*
-(the restored counters already include that node's expansion), then
-re-enters normal DFS at the interruption point, so the resumed search
-reaches a result construction-identical to an uninterrupted run — same
-violations digest, same state counters, same per-depth maps.  The only
-honest exceptions are ``events_executed``/``events_replayed``, which
+``checkpoint_to=path`` makes the incremental engines durable.  The
+walker's control state is its stack: one frame per node whose branches
+are still being explored, holding the branch in flight, the node's
+sleep set, the explored-sibling footprints, and under dedup the node's
+cache key and partial summary.  Every ``checkpoint_every`` node
+expansions (and whenever a cooperative ``cancel`` token fires) the
+search serializes that stack, the transposition cache, and the partial
+counters into a versioned, integrity-sealed checkpoint file written
+atomically (:mod:`repro.runtime.checkpoint`).  ``resume_from=path``
+decodes the frames and rebuilds the stack by taking each frame's
+recorded branch from the root — recomputing every node's choices from
+its state, *without re-counting it* (the restored counters already
+include those expansions) — and the same loop then continues at the
+node where the search was cut.  The resumed search reaches a result
+construction-identical to an uninterrupted run — same violations
+digest, same state counters, same per-depth maps.  The only honest
+exceptions are ``events_executed``/``events_replayed``, which
 additionally count the prefix replay the resume itself pays, exactly
 as the parallel engine's shard prefixes do.  Checkpoints are bound to
 their configuration by a :func:`~repro.runtime.checkpoint.config_digest`
@@ -1054,8 +1059,8 @@ class _CacheEntry:
 #: the way in.
 _SleepSet = dict[int, Footprint]
 
-#: A tuple-keyed sleep set: the at-rest / cross-process form, and the
-#: working form of the breadth-first frontier expansion.
+#: A tuple-keyed sleep set: the at-rest / cross-process form
+#: (checkpoints, and the shard hand-off of the frontier expansion).
 _PortableSleepSet = dict[tuple, Footprint]
 
 
@@ -1345,36 +1350,74 @@ def _outcome_from_json(data: Mapping) -> _SubtreeOutcome:
     )
 
 
-class _LiveFrame:
-    """One in-progress DFS level, captured for checkpoint serialization.
+def _awake_branches(
+    choices: list, sleep: _SleepSet, oracle: _IndependenceOracle
+) -> tuple[list[int], list[int]]:
+    """The branch indices not asleep in ``sleep``, and every branch's key.
 
-    Holds *references* to the level's live sleep/explored dicts (and,
-    under dedup, its partial summary): frames are only serialized at a
-    descendant's node entry, where those objects' current contents are
-    exactly the level's state as of the recorded branch.
+    Keys are interned choice keys, the form live sleep sets are keyed by.
+    """
+    intern_key = oracle.intern_key
+    keys = [intern_key(choice_key(choice)) for choice in choices]
+    return [b for b in range(len(choices)) if keys[b] not in sleep], keys
+
+
+def _sleep_below(
+    handle: SimulationRun,
+    sleep: _SleepSet,
+    explored: _SleepSet,
+    oracle: _IndependenceOracle,
+) -> tuple[_SleepSet, Footprint | None]:
+    """The sleep set below the event just taken, and that event's footprint.
+
+    Godefroid's sleep-set recurrence: the child keeps every slept or
+    earlier-explored sibling event that is independent of the event
+    just taken; a dependent event wakes up.
+    """
+    handle.choices()  # prelude: finalizes the footprint
+    taken = handle.last_footprint
+    kept = {
+        key: footprint
+        for candidates in (sleep, explored)
+        for key, footprint in candidates.items()
+        if oracle(footprint, taken)
+    }
+    return kept, taken
+
+
+@dataclass(slots=True)
+class _Frame:
+    """One node of the walk whose branches are still being explored.
+
+    The walker's stack holds one frame per such node, root first, and a
+    checkpoint is that stack serialized.  A frame owns the node's
+    cursor and depth, its sleep set, the footprints of the siblings
+    already explored below it (``explored``), the interned choice keys
+    and awake branch indices (``keys``, ``active``), the position of the
+    next branch to take (``pos``), and the branch in flight with the
+    footprint of the event it took (``branch``, ``taken``).  Under dedup
+    it also carries the node's cache key, verbatim fingerprint,
+    canonicalizing permutation and the partial summary of its finished
+    branches.
+
+    Only the search state goes to JSON: cursor, depth, keys, awake list
+    and position are recomputed on resume, when the walker rebuilds the
+    stack by taking the recorded branches from the root.
     """
 
-    __slots__ = (
-        "branch", "sleep", "explored", "key", "raw", "perm", "summary"
-    )
-
-    def __init__(
-        self,
-        branch: int,
-        sleep: _SleepSet,
-        explored: _SleepSet,
-        key: str | None = None,
-        raw: str | None = None,
-        perm: tuple[int, ...] | None = None,
-        summary: _Summary | None = None,
-    ) -> None:
-        self.branch = branch
-        self.sleep = sleep
-        self.explored = explored
-        self.key = key
-        self.raw = raw
-        self.perm = perm
-        self.summary = summary
+    cursor: _Cursor | None
+    depth: int
+    sleep: _SleepSet
+    keys: list[int]
+    active: list[int]
+    key: str | None = None
+    raw: str | None = None
+    perm: tuple[int, ...] | None = None
+    summary: _Summary | None = None
+    explored: _SleepSet = field(default_factory=dict)
+    pos: int = 0
+    branch: int = -1
+    taken: Footprint | None = None
 
     def to_json(self, oracle: _IndependenceOracle) -> dict:
         level: dict = {
@@ -1395,33 +1438,46 @@ class _LiveFrame:
             }
         return level
 
+    @classmethod
+    def from_json(
+        cls, data: Mapping, oracle: _IndependenceOracle
+    ) -> "_Frame":
+        """A recorded frame with its keys re-interned, not yet walked to.
 
-class _ResumeLevel:
-    """One decoded checkpoint frame, consumed during the resume descent."""
+        Interned ids are not stable across runs, so the sleep and
+        explored sets are re-keyed through ``oracle``.  The sleep set is
+        taken from the record rather than recomputed: dedup's
+        subset-reuse rule may have shrunk it at entry, a
+        history-dependent mutation.
+        """
+        intern_key = oracle.intern_key
 
-    __slots__ = (
-        "branch", "sleep", "explored", "key", "raw", "perm", "summary"
-    )
+        def interned(sleep: list) -> _SleepSet:
+            return {
+                intern_key(key): fp
+                for key, fp in sleep_from_json(sleep).items()
+            }
 
-    def __init__(self, data: Mapping) -> None:
-        self.branch = int(data["branch"])
-        self.sleep = sleep_from_json(data["sleep"])
-        self.explored = sleep_from_json(data["explored"])
+        frame = cls(
+            None,
+            0,
+            interned(data["sleep"]),
+            [],
+            [],
+            explored=interned(data["explored"]),
+            branch=int(data["branch"]),
+        )
         dedup = data.get("dedup")
-        if dedup is None:
-            self.key: str | None = None
-            self.raw: str | None = None
-            self.perm: tuple[int, ...] | None = None
-            self.summary: _Summary | None = None
-        else:
-            self.key = str(dedup["key"])
-            self.raw = str(dedup["raw"])
-            self.perm = (
+        if dedup is not None:
+            frame.key = str(dedup["key"])
+            frame.raw = str(dedup["raw"])
+            frame.perm = (
                 None
                 if dedup["perm"] is None
                 else tuple(int(p) for p in dedup["perm"])
             )
-            self.summary = _summary_from_json(dedup["summary"])
+            frame.summary = _summary_from_json(dedup["summary"])
+        return frame
 
 
 def _explore_subtree(
@@ -1447,12 +1503,23 @@ def _explore_subtree(
     resume: Mapping | None = None,
     config: str = "",
 ) -> _SubtreeOutcome:
-    """Incremental DFS below ``prefix`` (replayed once to materialize).
+    """Incremental depth-first walk below ``prefix`` (replayed once).
 
-    With ``dedup=True`` the DFS consults a per-call transposition cache:
-    a node whose state fingerprint was already fully expanded is pruned,
-    and the cached subtree summary is replayed in its place, reproducing
-    the exact terminal counts and violations of a re-expansion.
+    One loop walks every sequential variant over an explicit stack of
+    :class:`_Frame` objects; there is no recursion, so the depth of a
+    schedule is bounded only by ``max_depth``.  Each node is entered
+    once (``enter``), which either returns a frame to push or finishes
+    the node as a leaf: a terminal, a ``max_depth`` cut, a cache replay,
+    or an abort that ends the whole search.  The loop then takes the top
+    frame's next branch, or pops the frame once every branch is done and
+    folds it into its parent.
+
+    With ``dedup=True`` the walk consults a per-call transposition
+    cache: a node whose state fingerprint was already fully expanded is
+    not expanded again, and the cached subtree summary is replayed in
+    its place, reproducing the exact terminal counts and violations of
+    a re-expansion.  Without dedup the same loop runs with no cache: it
+    takes no fingerprint and builds no summaries.
 
     ``sleep_sets=True`` adds the sleep-set partial-order reduction: a
     branch whose choice is asleep (its footprint independent of every
@@ -1466,17 +1533,18 @@ def _explore_subtree(
     proven-commutation table and ``crash_aware`` selects between the
     crash-aware dynamic relation (default) and its pre-crash-aware
     blanket form (see :class:`_IndependenceOracle`).  A non-empty
-    ``groups`` tuple
-    switches the dedup cache to orbit-canonical keys (see
-    :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`).
+    ``groups`` tuple switches the dedup cache to orbit-canonical keys
+    (see :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`).
 
     ``cancel``/``checkpoint_to``/``checkpoint_every``/``resume`` are the
-    durability hooks (module docstring, *Checkpoint and resume*):
-    ``resume`` is an already-verified checkpoint body whose recorded
-    frame stack is replayed branch-for-branch without re-counting, and
-    ``config`` is the configuration digest stamped into every
-    checkpoint this call writes.  The caller is responsible for having
-    matched ``config`` against a resumed body's own stamp.
+    durability hooks (module docstring, *Checkpoint and resume*): a
+    checkpoint is the frame stack as it stands at a node's entry, and
+    ``resume`` is an already-verified checkpoint body whose stack is
+    rebuilt by taking its recorded branches from the root, without
+    re-counting those nodes, before the loop continues.  ``config`` is
+    the configuration digest stamped into every checkpoint this call
+    writes.  The caller is responsible for having matched ``config``
+    against a resumed body's own stamp.
     """
     if resume is not None and resume.get("complete"):
         # The interrupted search had already finished (the final
@@ -1486,11 +1554,13 @@ def _explore_subtree(
     if resume is not None:
         out = _outcome_from_json(resume["outcome"])
         cache = _cache_from_json(resume["cache"], indep)
-        resume_stack = [_ResumeLevel(level) for level in resume["frames"]]
+        recorded = [
+            _Frame.from_json(level, indep) for level in resume["frames"]
+        ]
     else:
         out = _SubtreeOutcome()
         cache = {}
-        resume_stack = []
+        recorded = []
     # Verdict counters accumulated before a resume; the oracle's own
     # counters are merged on top at every flush.
     stats_base = dict(out.independence_stats)
@@ -1509,19 +1579,18 @@ def _explore_subtree(
         handle.advance(branch)
     out.events_executed += len(prefix)
     out.events_replayed += len(prefix)
-    cursor = _Cursor(handle, prop.tracker(simulator.n), 0)
     path = list(prefix)
     started = _now() if progress is not None else 0.0
-    frames: list[_LiveFrame] = []
+    stack: list[_Frame] = []
     ckpt_mark = out.schedules_explored
 
     def snapshot(*, complete: bool) -> None:
         """Write the current search state to the checkpoint file.
 
         Captured at a node's entry, *before* that node is counted: the
-        serialized counters plus the frame stack describe exactly the
-        work completed so far, and the resume descent re-enters the
-        frontier node as a normal (fully counted) expansion.
+        serialized counters plus the stack of its ancestors' frames
+        describe exactly the work completed so far, and the resumed walk
+        enters that node again as a normal (fully counted) expansion.
         """
         if checkpoint_to is None:
             return
@@ -1532,7 +1601,7 @@ def _explore_subtree(
             "complete": complete,
             "outcome": _outcome_to_json(out),
             "frames": (
-                [] if complete else [f.to_json(indep) for f in frames]
+                [] if complete else [f.to_json(indep) for f in stack]
             ),
             "cache": (
                 _cache_to_json(cache, indep)
@@ -1616,152 +1685,6 @@ def _explore_subtree(
                 return problems, False
         return problems, True
 
-    intern_key = indep.intern_key
-
-    def active_branches(
-        choices: list, sleep: _SleepSet
-    ) -> tuple[list[int], list[int]]:
-        """The non-slept branch indices, and every branch's interned key."""
-        keys = [intern_key(choice_key(choice)) for choice in choices]
-        active = [b for b in range(len(choices)) if keys[b] not in sleep]
-        out.states_pruned_sleep += len(choices) - len(active)
-        return active, keys
-
-    def child_sleep_set(
-        child: _Cursor, sleep: _SleepSet, explored: _SleepSet
-    ) -> tuple[_SleepSet, Footprint | None]:
-        """The sleep set below ``child``, and the taken event's footprint.
-
-        The child keeps every slept or earlier-explored sibling event
-        that is independent of the event just taken (Godefroid's
-        sleep-set recurrence); a dependent event wakes up.
-        """
-        child.handle.choices()  # prelude: finalizes the footprint
-        taken = child.handle.last_footprint
-        kept = {
-            key: footprint
-            for candidates in (sleep, explored)
-            for key, footprint in candidates.items()
-            if indep(footprint, taken)
-        }
-        return kept, taken
-
-    def restored_structure(
-        cursor: _Cursor, level: _ResumeLevel
-    ) -> tuple[_SleepSet, list[int], list[int], list[int], _SleepSet]:
-        """Recompute a checkpointed node's choice structure on re-entry.
-
-        Everything per-level is a deterministic function of the node's
-        state and the restored sleep set, so only the sleep set itself
-        (dedup's subset-reuse rule may have shrunk it at entry, a
-        history-dependent mutation) and the explored-sibling footprints
-        come from the checkpoint — both re-interned here, because
-        interned key ids are not stable across runs.  Nothing is
-        counted — the restored counters already include this node's
-        expansion.
-        """
-        choices = cursor.handle.choices()
-        cursor.sync()
-        sleep = {
-            intern_key(key): fp for key, fp in level.sleep.items()
-        }
-        if sleep_sets:
-            keys = [intern_key(choice_key(choice)) for choice in choices]
-            active = [
-                b for b in range(len(choices)) if keys[b] not in sleep
-            ]
-        else:
-            keys = []
-            active = list(range(len(choices)))
-        if level.branch not in active:
-            raise CheckpointError(
-                f"checkpoint frame at depth {cursor.handle.decisions} "
-                f"records branch {level.branch}, which is not enabled at "
-                f"the restored node — the checkpoint does not match this "
-                f"configuration"
-            )
-        pending = active[active.index(level.branch):]
-        explored = {
-            intern_key(key): fp for key, fp in level.explored.items()
-        }
-        return sleep, keys, active, pending, explored
-
-    def dfs(
-        cursor: _Cursor,
-        depth: int,
-        sleep: _SleepSet,
-        resume_level: _ResumeLevel | None = None,
-        resume_rest: "Sequence[_ResumeLevel] | None" = None,
-    ) -> bool:
-        """Returns False to abort the whole search.
-
-        A non-``None`` ``resume_level`` re-enters a checkpointed node:
-        its structure is restored instead of counted (the restored
-        counters already include it), the recorded branch is taken
-        first, and ``resume_rest`` descends the rest of the recorded
-        frontier the same way.
-        """
-        if resume_level is None:
-            if cancel is not None and cancel.is_set():
-                interrupt()
-                return False
-            if checkpoint_due():
-                snapshot(complete=False)
-            if out.terminal_schedules >= max_schedules:
-                out.exhausted = False
-                return False
-            out.schedules_explored += 1
-            note_expansion(depth)
-            out.max_depth_seen = max(out.max_depth_seen, depth)
-            choices = cursor.handle.choices()
-            cursor.sync()
-            if not choices:
-                _, keep_going = visit_terminal(cursor)
-                return keep_going
-            if depth >= max_depth:
-                out.exhausted = False
-                return True
-            if sleep_sets:
-                active, keys = active_branches(choices, sleep)
-            else:
-                active, keys = list(range(len(choices))), []
-            explored: _SleepSet = {}
-            pending = active
-        else:
-            sleep, keys, active, pending, explored = restored_structure(
-                cursor, resume_level
-            )
-        last = active[-1] if active else None
-        descend = resume_rest
-        for branch in pending:
-            if branch != last:
-                child = cursor.fork()
-                out.events_replayed += child.handle.replayed_steps
-            else:
-                child = cursor  # the last branch extends this node in place
-            child.handle.advance(branch)
-            out.events_executed += 1
-            if sleep_sets:
-                child_sleep, taken = child_sleep_set(child, sleep, explored)
-            else:
-                child_sleep, taken = sleep, None
-            path.append(branch)
-            frames.append(_LiveFrame(branch, sleep, explored))
-            if descend:
-                keep_going = dfs(
-                    child, depth + 1, child_sleep, descend[0], descend[1:]
-                )
-            else:
-                keep_going = dfs(child, depth + 1, child_sleep)
-            descend = None  # only the recorded branch resumes a frame
-            frames.pop()
-            path.pop()
-            if not keep_going:
-                return False
-            if sleep_sets and taken is not None:
-                explored[keys[branch]] = taken
-        return True
-
     def replay(summary: _Summary, base: tuple[int, ...] | None) -> bool:
         """Emit a cached subtree's terminals and violations.
 
@@ -1794,68 +1717,70 @@ def _explore_subtree(
             return False
         return True
 
-    def dedup_dfs(
-        cursor: _Cursor,
-        depth: int,
+    def remember(
+        key: str,
+        raw: str,
+        perm: tuple[int, ...] | None,
         sleep: _SleepSet,
-        resume_level: _ResumeLevel | None = None,
-        resume_rest: "Sequence[_ResumeLevel] | None" = None,
-    ) -> _Summary | None:
-        """DFS with transposition pruning (plus sleep/symmetry, if on).
+        depth: int,
+        summary: _Summary,
+    ) -> None:
+        """Cache a finished node's summary, unless the stored one covers more.
 
-        Returns the subtree's summary — cached for later arrivals at the
-        same state, re-framed through the witnessing permutation on
-        symmetry merges — or ``None`` when the search was cut (budget,
-        abort, cancellation): partial summaries are never cached.
-        Resume parameters as on ``dfs``; a re-entered node restores its
-        cache key, canonicalizing permutation, and partial summary from
-        the checkpoint frame instead of recomputing (and recounting)
-        them.
+        A slot is taken over only when the new summary is at least as
+        reusable as the stored one: recorded under a subset of its sleep
+        keys (every arrival the stored entry served, plus the less-slept
+        ones that had to re-expand) and not newly truncated.  Anything
+        else would shrink the compatible class.
         """
-
-        def remember(summary: _Summary) -> None:
-            """Store the summary — unless the cached one covers more.
-
-            A slot is taken over only when the new summary is at least
-            as reusable as the stored one: recorded under a subset of
-            its sleep keys (every arrival the stored entry served, plus
-            the less-slept ones that had to re-expand) and not newly
-            truncated.  Anything else would shrink the compatible class.
-            """
-            existing = cache.get(key)
-            if existing is not None:
-                if summary.truncated and not existing.summary.truncated:
+        existing = cache.get(key)
+        if existing is not None:
+            if summary.truncated and not existing.summary.truncated:
+                return
+            if sleep_sets:
+                own = indep.canonical_mask(indep.mask_of(sleep), perm)
+                stored = indep.canonical_mask(
+                    existing.sleep_keys, existing.perm
+                )
+                if own & ~stored:
                     return
-                if sleep_sets:
-                    own = indep.canonical_mask(indep.mask_of(sleep), perm)
-                    stored = indep.canonical_mask(
-                        existing.sleep_keys, existing.perm
-                    )
-                    if own & ~stored:
-                        return
-            cache[key] = _CacheEntry(
-                depth, summary, tuple(path), raw, indep.mask_of(sleep), perm
-            )
+        cache[key] = _CacheEntry(
+            depth, summary, tuple(path), raw, indep.mask_of(sleep), perm
+        )
 
-        if resume_level is None:
-            if cancel is not None and cancel.is_set():
-                interrupt()
-                return None
-            if checkpoint_due():
-                snapshot(complete=False)
-            if out.terminal_schedules >= max_schedules:
-                out.exhausted = False
-                return None
-            choices = cursor.handle.choices()  # prelude before fingerprinting
-            cursor.sync()
+    intern_key = indep.intern_key
+
+    def enter(cursor: _Cursor, depth: int, sleep: _SleepSet):
+        """Enter one node: the frame to push, or how the node finished.
+
+        A node finishes at once when it is a terminal, a ``max_depth``
+        cut or (under dedup) a cache replay; it then returns its summary
+        under dedup and ``True`` without one.  ``None`` aborts the whole
+        search (cancellation, budget, first violation): partial
+        summaries are never cached.
+        """
+        if cancel is not None and cancel.is_set():
+            interrupt()
+            return None
+        if checkpoint_due():
+            snapshot(complete=False)
+        if out.terminal_schedules >= max_schedules:
+            out.exhausted = False
+            return None
+        choices = cursor.handle.choices()  # prelude before fingerprinting
+        cursor.sync()
+        key = raw = perm = None
+        if dedup:
             raw = cursor.handle.fingerprint()
             if groups:
                 key, perm, encodings = cursor.handle.orbit_key(groups)
                 out.orbit_encodings += encodings
             else:
-                key, perm = raw, None
+                key = raw
             entry = cache.get(key)
-            if entry is not None and _entry_reusable(
+            if entry is None:
+                out.states_seen += 1  # first expansion of this state/orbit
+            elif _entry_reusable(
                 entry.summary, entry.depth, depth, max_depth
             ):
                 # Subset-reuse: the stored subtree covers this arrival
@@ -1888,7 +1813,7 @@ def _explore_subtree(
                         )
                         & 1
                     }
-                if compatible:
+                else:
                     if entry.raw == raw:
                         out.states_deduped += 1
                         summary = entry.summary
@@ -1907,99 +1832,133 @@ def _explore_subtree(
                     )
                     if summary.truncated:
                         out.exhausted = False
-                    if not replay(summary, base):
-                        return None
-                    return summary
-            out.schedules_explored += 1
-            if entry is None:
-                out.states_seen += 1  # first expansion of this state/orbit
-            note_expansion(depth)
-            out.max_depth_seen = max(out.max_depth_seen, depth)
-            if not choices:
-                problems, keep_going = visit_terminal(cursor)
-                summary = _Summary(terminals=1)
-                if problems:
-                    own = tuple(path) if groups else ()
-                    summary.violations.append((0, own, problems, None))
-                if not keep_going:
-                    return None
-                remember(summary)
-                return summary
-            if depth >= max_depth:
-                out.exhausted = False
-                summary = _Summary(truncated=True)
-                remember(summary)
-                return summary
-            summary = _Summary()
-            if sleep_sets:
-                active, keys = active_branches(choices, sleep)
-            else:
-                active, keys = list(range(len(choices))), []
-            explored: _SleepSet = {}
-            pending = active
-        else:
-            sleep, keys, active, pending, explored = restored_structure(
-                cursor, resume_level
-            )
-            key, raw = resume_level.key, resume_level.raw
-            perm = resume_level.perm
-            assert resume_level.summary is not None
-            summary = resume_level.summary
-        last = active[-1] if active else None
-        descend = resume_rest
-        for branch in pending:
-            if branch != last:
-                child = cursor.fork()
-                out.events_replayed += child.handle.replayed_steps
-            else:
-                child = cursor  # the last branch extends this node in place
-            child.handle.advance(branch)
-            out.events_executed += 1
-            if sleep_sets:
-                child_sleep, taken = child_sleep_set(child, sleep, explored)
-            else:
-                child_sleep, taken = sleep, None
-            path.append(branch)
-            frames.append(
-                _LiveFrame(branch, sleep, explored, key, raw, perm, summary)
-            )
-            if descend:
-                child_summary = dedup_dfs(
-                    child, depth + 1, child_sleep, descend[0], descend[1:]
-                )
-            else:
-                child_summary = dedup_dfs(child, depth + 1, child_sleep)
-            descend = None  # only the recorded branch resumes a frame
-            frames.pop()
-            path.pop()
-            if child_summary is None:
+                    return summary if replay(summary, base) else None
+        out.schedules_explored += 1
+        note_expansion(depth)
+        out.max_depth_seen = max(out.max_depth_seen, depth)
+        if not choices:
+            problems, keep_going = visit_terminal(cursor)
+            if not keep_going:
                 return None
-            for ordinal, guide, problems, vperm in child_summary.violations:
-                summary.violations.append(
-                    (
-                        summary.terminals + ordinal,
-                        guide if groups else (branch,) + guide,
-                        problems,
-                        vperm,
-                    )
-                )
-            summary.terminals += child_summary.terminals
-            summary.height = max(summary.height, child_summary.height + 1)
-            summary.truncated = summary.truncated or child_summary.truncated
-            if sleep_sets and taken is not None:
-                explored[keys[branch]] = taken
-        remember(summary)
-        return summary
+            if not dedup:
+                return True
+            summary = _Summary(terminals=1)
+            if problems:
+                own = tuple(path) if groups else ()
+                summary.violations.append((0, own, problems, None))
+            remember(key, raw, perm, sleep, depth, summary)
+            return summary
+        if depth >= max_depth:
+            out.exhausted = False
+            if not dedup:
+                return True
+            summary = _Summary(truncated=True)
+            remember(key, raw, perm, sleep, depth, summary)
+            return summary
+        if sleep_sets:
+            active, keys = _awake_branches(choices, sleep, indep)
+            out.states_pruned_sleep += len(choices) - len(active)
+        else:
+            active, keys = list(range(len(choices))), []
+        return _Frame(
+            cursor, depth, sleep, keys, active, key, raw, perm,
+            _Summary() if dedup else None,
+        )
 
-    root_sleep: _SleepSet = {
+    def descend(frame: _Frame) -> tuple[_Cursor, _SleepSet]:
+        """Take ``frame``'s next branch: the child and its sleep set.
+
+        Every branch but the last runs on a fork; the last extends the
+        node's own cursor in place.
+        """
+        branch = frame.active[frame.pos]
+        frame.pos += 1
+        if frame.pos < len(frame.active):
+            child = frame.cursor.fork()
+            out.events_replayed += child.handle.replayed_steps
+        else:
+            child = frame.cursor
+        child.handle.advance(branch)
+        out.events_executed += 1
+        frame.branch = branch
+        path.append(branch)
+        if sleep_sets:
+            child_sleep, frame.taken = _sleep_below(
+                child.handle, frame.sleep, frame.explored, indep
+            )
+            return child, child_sleep
+        return child, frame.sleep
+
+    child = _Cursor(handle, prop.tracker(simulator.n), 0)
+    child_sleep: _SleepSet = {
         intern_key(key): fp for key, fp in (initial_sleep or {}).items()
     }
-    head = resume_stack[0] if resume_stack else None
-    rest = resume_stack[1:] if resume_stack else None
-    if dedup:
-        dedup_dfs(cursor, len(prefix), root_sleep, head, rest)
-    else:
-        dfs(cursor, len(prefix), root_sleep, head, rest)
+    # Resume: rebuild the recorded stack by taking each frame's recorded
+    # branch from the root.  The nodes on the way are not counted again
+    # (the restored counters include them); only their choice structure
+    # is recomputed, from the node's state and the recorded sleep set.
+    for frame in recorded:
+        choices = child.handle.choices()
+        child.sync()
+        if sleep_sets:
+            frame.active, frame.keys = _awake_branches(
+                choices, frame.sleep, indep
+            )
+        else:
+            frame.active = list(range(len(choices)))
+        if frame.branch not in frame.active:
+            raise CheckpointError(
+                f"checkpoint frame at depth {len(path)} "
+                f"records branch {frame.branch}, which is not enabled at "
+                f"the restored node — the checkpoint does not match this "
+                f"configuration"
+            )
+        frame.cursor, frame.depth = child, len(path)
+        frame.pos = frame.active.index(frame.branch)
+        stack.append(frame)
+        child, child_sleep = descend(frame)
+
+    node = enter(child, len(path), child_sleep)
+    while node is not None:
+        if node.__class__ is _Frame:
+            stack.append(node)
+        elif not stack:
+            break  # the root has finished
+        else:
+            # A child finished: fold it into the frame that took it.
+            path.pop()
+            parent = stack[-1]
+            summary = parent.summary
+            if summary is not None:
+                branch = parent.branch
+                for ordinal, guide, problems, vperm in node.violations:
+                    summary.violations.append(
+                        (
+                            summary.terminals + ordinal,
+                            guide if groups else (branch,) + guide,
+                            problems,
+                            vperm,
+                        )
+                    )
+                summary.terminals += node.terminals
+                summary.height = max(summary.height, node.height + 1)
+                summary.truncated = summary.truncated or node.truncated
+            if parent.taken is not None:
+                parent.explored[parent.keys[parent.branch]] = parent.taken
+        frame = stack[-1]
+        if frame.pos < len(frame.active):
+            child, child_sleep = descend(frame)
+            node = enter(child, frame.depth + 1, child_sleep)
+        else:
+            stack.pop()
+            node = frame.summary
+            if node is None:
+                node = True
+            else:
+                remember(
+                    frame.key, frame.raw, frame.perm, frame.sleep,
+                    frame.depth, node,
+                )
     flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
@@ -2168,10 +2127,11 @@ def _expand_frontier(
     depth-first visiting order of the remaining work: entries are either
     ``("terminal", prefix, problems)`` — a shallow terminal already
     evaluated here — or ``("shard", prefix, cursor, sleep)`` — a subtree
-    for a worker, with the sleep set its root inherits when the
-    sleep-set reduction is on.  Interior nodes visited during expansion
-    are accounted directly into ``result``; slept branches are pruned
-    here exactly as the sequential DFS would prune them.
+    for a worker, with the (portable) sleep set its root inherits when
+    the sleep-set reduction is on.  Interior nodes visited during
+    expansion are accounted directly into ``result``; slept branches are
+    pruned here by the same helpers, and so exactly as, the sequential
+    walker prunes them.
     """
     prop = _as_property(property_check)
     indep = _IndependenceOracle(
@@ -2214,15 +2174,11 @@ def _expand_frontier(
                 continue
             expanded = True
             if sleep_sets:
-                keys = [choice_key(choice) for choice in choices]
-                active = [
-                    b for b in range(len(choices)) if keys[b] not in sleep
-                ]
+                active, keys = _awake_branches(choices, sleep, indep)
                 result.states_pruned_sleep += len(choices) - len(active)
             else:
-                keys = []
-                active = list(range(len(choices)))
-            explored: _PortableSleepSet = {}
+                active, keys = list(range(len(choices))), []
+            explored: _SleepSet = {}
             last = active[-1] if active else None
             for branch in active:
                 if branch != last:
@@ -2233,14 +2189,9 @@ def _expand_frontier(
                 child.handle.advance(branch)
                 result.events_executed += 1
                 if sleep_sets:
-                    child.handle.choices()  # finalize the footprint
-                    taken = child.handle.last_footprint
-                    child_sleep = {
-                        key: footprint
-                        for candidates in (sleep, explored)
-                        for key, footprint in candidates.items()
-                        if indep(footprint, taken)
-                    }
+                    child_sleep, taken = _sleep_below(
+                        child.handle, sleep, explored, indep
+                    )
                     if taken is not None:
                         explored[keys[branch]] = taken
                 else:
@@ -2256,7 +2207,13 @@ def _expand_frontier(
             result.independence_stats[source] = (
                 result.independence_stats.get(source, 0) + count
             )
-    return entries
+    # Interned key ids belong to this oracle: shards get portable sets.
+    return [
+        entry[:3] + ({indep.key_tuple(k): fp for k, fp in entry[3].items()},)
+        if entry[0] == "shard"
+        else entry
+        for entry in entries
+    ]
 
 
 def _explore_parallel(

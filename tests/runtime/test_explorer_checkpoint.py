@@ -459,6 +459,23 @@ class TestCheckpointSafety:
                 resume_from=path,
             )
 
+    def test_unenabled_recorded_branch_refuses_resume(self, tmp_path):
+        # a well-sealed body whose frame names a branch the rebuilt
+        # stack cannot take: the walk back down must refuse it
+        path = os.path.join(tmp_path, "branch.ckpt")
+        self.checkpointed_run(path)
+        body = read_checkpoint(path)
+        assert body["frames"], "the cut is expected below the root"
+        body["frames"][-1]["branch"] = 99
+        write_checkpoint(path, body)
+        with pytest.raises(CheckpointError, match="not enabled"):
+            explore_schedules(
+                s2a_simulator(),
+                {0: ["a"], 1: ["b"]},
+                clean_property(),
+                resume_from=path,
+            )
+
     def test_replay_engine_rejects_checkpointing(self, tmp_path):
         for kwargs in (
             {"cancel": Countdown(1)},

@@ -51,6 +51,24 @@ def long_running():
     )
 
 
+def deep():
+    """A schedule of 1200 decisions (one process, 600 broadcasts).
+
+    Its schedule tree is huge, so the budget stops it after the first
+    deep descent and one backtrack.
+    """
+    return JobDescriptor.from_json(
+        {
+            "algorithm": "send-to-all",
+            "n": 1,
+            "scripts": {"0": [f"m{i}" for i in range(600)]},
+            "engine": "incremental",
+            "max_depth": 5000,
+            "max_schedules": 2,
+        }
+    )
+
+
 def manager(**kwargs):
     kwargs.setdefault("max_workers", 1)
     return JobManager(MemoStore(), **kwargs)
@@ -118,6 +136,18 @@ class TestLifecycleAndMemo:
             assert record.state is JobState.FAILED
             assert "engine exploded" in record.error
             assert mgr.stats()["explorations_run"] == 0
+            await mgr.drain()
+
+        asyncio.run(main())
+
+    def test_deep_schedule_job_is_done(self):
+        async def main():
+            mgr = manager()
+            record = mgr.submit(deep())
+            await record.wait()
+            assert record.state is JobState.DONE, record.error
+            assert record.result["terminal_schedules"] == 2
+            assert record.result["max_depth_seen"] == 1200
             await mgr.drain()
 
         asyncio.run(main())
